@@ -118,16 +118,20 @@ impl ShardPool {
     /// last one finished. That completion barrier is the scope
     /// guarantee letting tasks borrow from the caller's stack — the
     /// pool-based equivalent of `std::thread::scope`. Re-raises a
-    /// panic on the caller if any task panicked.
+    /// panic on the caller if any task panicked. The published task
+    /// list is refilled in place, so a steady stream of batches
+    /// allocates nothing here.
     #[allow(unsafe_code)]
-    pub fn scope_run(&mut self, tasks: &mut [&mut (dyn FnMut() + Send)]) {
+    pub fn scope_run<'a, F: FnMut() + Send + 'a>(&mut self, tasks: &'a mut [F]) {
         if tasks.is_empty() {
             return;
         }
-        let raw: Vec<RawTask> = tasks
-            .iter_mut()
-            .map(|t| {
-                let p: *mut (dyn FnMut() + Send + '_) = &mut **t;
+        let total = tasks.len();
+        {
+            let mut st = self.inner.state.lock().expect("shard pool state poisoned");
+            debug_assert!(st.tasks.is_empty() && st.pending == 0, "overlapping batch");
+            st.tasks.extend(tasks.iter_mut().map(|t| {
+                let p: *mut (dyn FnMut() + Send + 'a) = t;
                 // SAFETY: transmuting a fat raw pointer only to widen
                 // the trait object's lifetime bound; address and
                 // vtable metadata are unchanged. The pointer is
@@ -137,17 +141,11 @@ impl ShardPool {
                 // `&mut self` excludes overlapping batches.
                 RawTask(unsafe {
                     std::mem::transmute::<
-                        *mut (dyn FnMut() + Send + '_),
+                        *mut (dyn FnMut() + Send + 'a),
                         *mut (dyn FnMut() + Send + 'static),
                     >(p)
                 })
-            })
-            .collect();
-        let total = raw.len();
-        {
-            let mut st = self.inner.state.lock().expect("shard pool state poisoned");
-            debug_assert!(st.tasks.is_empty() && st.pending == 0, "overlapping batch");
-            st.tasks = raw;
+            }));
             st.next = 0;
             st.pending = total;
             st.panicked = false;
@@ -257,7 +255,7 @@ mod tests {
         // worker count, and the empty batch.
         let mut pool = ShardPool::new(2);
         let mut total = [0u64; 5];
-        pool.scope_run(&mut []);
+        pool.scope_run::<fn()>(&mut []);
         for round in 0..100u64 {
             let mut tasks: Vec<_> = total
                 .iter_mut()

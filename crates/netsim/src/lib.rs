@@ -73,6 +73,6 @@ pub use world::{
     default_scheduler_wheel, default_shard_batch_min, default_shard_pool, default_shards,
     set_default_scheduler_wheel, set_default_shard_batch_min, set_default_shard_pool,
     set_default_shards, ActiveSet, MacCtx, MacProtocol, MacTimerKind, NodeId,
-    PastClampBudgetExceeded, Sim, SimBuilder, TickAction, TickPlan, TickView, UpperCtx, UpperLayer,
-    SHARD_BATCH_MIN_DEFAULT,
+    PastClampBudgetExceeded, Sim, SimBuilder, SweepStats, TickAction, TickPlan, TickView, UpperCtx,
+    UpperLayer, SHARD_BATCH_MIN_DEFAULT,
 };

@@ -48,6 +48,16 @@ impl SlotAction {
     }
 }
 
+/// Counts an executed subslot action in one node's slot-action row
+/// (subslots beyond the row are ignored) — the single implementation
+/// behind [`MetricsHub::slot_action`] and the sharded sweep's
+/// node-local commit.
+pub(crate) fn count_slot_action(row: &mut [[u64; 3]], subslot: u16, action: SlotAction) {
+    if let Some(cell) = row.get_mut(subslot as usize) {
+        cell[action.index()] += 1;
+    }
+}
+
 /// Per-frame learning metrics sampled from a learning MAC.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct LearnerSample {
@@ -83,7 +93,11 @@ pub struct MetricsHub {
     mac: Vec<MacCounters>,
     learner: Vec<TimeSeries>, // q_sum over time
     rho: Vec<TimeSeries>,
-    slot_actions: Vec<Vec<[u64; 3]>>, // node → subslot → action counts
+    /// Contention subslots per frame: the row width of `slot_actions`.
+    subslots: usize,
+    /// Per-subslot action counts, one row of `subslots` cells per node,
+    /// all rows in one allocation.
+    slot_actions: Vec<[u64; 3]>,
     named: BTreeMap<&'static str, f64>,
     named_per_node: BTreeMap<(&'static str, u32), f64>,
     horizon: SimTime,
@@ -102,7 +116,8 @@ impl MetricsHub {
             mac: vec![MacCounters::default(); n],
             learner: vec![TimeSeries::new(); n],
             rho: vec![TimeSeries::new(); n],
-            slot_actions: vec![vec![[0; 3]; subslots as usize]; n],
+            subslots: subslots as usize,
+            slot_actions: vec![[0; 3]; n * subslots as usize],
             named: BTreeMap::new(),
             named_per_node: BTreeMap::new(),
             horizon: SimTime::ZERO,
@@ -240,27 +255,35 @@ impl MetricsHub {
 
     /// Counts an executed subslot action (Fig. 13–15).
     pub fn slot_action(&mut self, node: NodeId, subslot: u16, action: SlotAction) {
-        let per_node = &mut self.slot_actions[node.index()];
-        if let Some(cell) = per_node.get_mut(subslot as usize) {
-            cell[action.index()] += 1;
-        }
+        let row = self.slot_row(node);
+        count_slot_action(&mut self.slot_actions[row], subslot, action);
+    }
+
+    /// The cells of `node`'s slot-action row.
+    fn slot_row(&self, node: NodeId) -> std::ops::Range<usize> {
+        let start = node.index() * self.subslots;
+        start..start + self.subslots
+    }
+
+    /// Every node's slot-action row back to back, in node order, with
+    /// the row width — split into disjoint per-shard ranges by the
+    /// sharded sweep, which counts each shard's actions inside its
+    /// parallel decide.
+    pub(crate) fn slot_action_rows_mut(&mut self) -> (&mut [[u64; 3]], usize) {
+        (&mut self.slot_actions, self.subslots)
     }
 
     /// Resets the slot-action window for all nodes (the paper shows
     /// utilization "after the first exploration phase", i.e. over a
     /// window).
     pub fn reset_slot_actions(&mut self) {
-        for per_node in &mut self.slot_actions {
-            for cell in per_node.iter_mut() {
-                *cell = [0; 3];
-            }
-        }
+        self.slot_actions.fill([0; 3]);
     }
 
     /// The dominant action a node executed in each subslot over the
     /// current window (`None` for never-used subslots).
     pub fn dominant_slot_actions(&self, node: NodeId) -> Vec<Option<SlotAction>> {
-        self.slot_actions[node.index()]
+        self.slot_actions[self.slot_row(node)]
             .iter()
             .map(|cell| {
                 let total: u64 = cell.iter().sum();
@@ -279,7 +302,7 @@ impl MetricsHub {
 
     /// Raw slot-action counts for a node.
     pub fn slot_action_counts(&self, node: NodeId) -> &[[u64; 3]] {
-        &self.slot_actions[node.index()]
+        &self.slot_actions[self.slot_row(node)]
     }
 
     // ---- Named counters (protocol-specific statistics) ----
@@ -404,9 +427,12 @@ mod tests {
 
     #[test]
     fn out_of_range_subslot_is_ignored() {
-        let mut h = MetricsHub::new(1, 2);
+        let mut h = MetricsHub::new(2, 2);
         h.slot_action(NodeId(0), 5, SlotAction::Tx); // silently ignored
-        assert_eq!(h.slot_action_counts(NodeId(0)).len(), 2);
+        h.slot_action(NodeId(0), 2, SlotAction::Tx); // one past the row: ignored too
+        assert_eq!(h.slot_action_counts(NodeId(0)), &[[0; 3]; 2]);
+        // All rows share one allocation; nothing bleeds into node 1's.
+        assert_eq!(h.slot_action_counts(NodeId(1)), &[[0; 3]; 2]);
     }
 
     #[test]

@@ -19,7 +19,7 @@ use qma_phy::{
 
 use crate::clock::FrameClock;
 use crate::frame::Frame;
-use crate::metrics::{LearnerSample, MetricsHub, SlotAction, TxResult};
+use crate::metrics::{count_slot_action, LearnerSample, MetricsHub, SlotAction, TxResult};
 use crate::queue::TxQueue;
 
 /// Identifier of a simulated node.
@@ -485,21 +485,21 @@ impl World {
         }
     }
 
-    /// Arms `node`'s subslot tick for the boundary `(frame_index,
-    /// subslot)` at `at` — the shared backend of
-    /// [`MacCtx::set_subslot_timer_at`] and the tick-plan commit.
-    fn arm_subslot_tick(
+    /// Inserts `node`'s re-armed subslot tick, generation `gen`, for
+    /// the boundary `(frame_index, subslot)` at `at` and sets its
+    /// armed-tick bit — the world-global half of
+    /// [`MacCtx::set_subslot_timer_at`] and of the tick-plan commit
+    /// (the caller has already bumped the generation).
+    fn schedule_subslot_tick(
         &mut self,
         node: NodeId,
+        gen: u64,
         at: SimTime,
         frame_index: u64,
         subslot: u16,
         sched: &mut Scheduler<Event>,
     ) {
         let i = node.index();
-        let gen_slot = &mut self.nodes.mac_timer_gen[i][MacTimerKind::Subslot.index()];
-        *gen_slot += 1;
-        let gen = *gen_slot;
         self.nodes.tick_armed.set(i, true);
         let event = Event::MacTimer {
             node,
@@ -539,42 +539,120 @@ impl World {
         sched.schedule_at(now + dur, Event::CcaEnd { node, gen });
     }
 
-    /// Commits a [`TickPlan`]: re-arm (or park) the subslot tick, then
-    /// execute the decided action. The order — rearm before action —
-    /// matches the sequential MAC tick, so the scheduler's sequence
-    /// numbers (and with them every future tie-break) come out
-    /// identical in both engines.
-    fn commit_tick_plan(&mut self, node: NodeId, plan: TickPlan, sched: &mut Scheduler<Event>) {
-        match plan.rearm {
-            Some((at, frame_index, subslot)) => {
-                self.arm_subslot_tick(node, at, frame_index, subslot, sched);
+    /// The world-global half of a [`TickPlan`] commit (see
+    /// [`commit_tick_local`] for the node-local half, which runs
+    /// first): insert the re-armed tick (or clear the parked node's
+    /// armed bit), then start the CCA or transmission. The order —
+    /// rearm before action — matches the sequential MAC tick, so the
+    /// scheduler's sequence numbers (and with them every future
+    /// tie-break) come out identical in both engines. `frame` is the
+    /// frame of a [`TickEffect::Send`]. Forced inline, like
+    /// [`commit_tick_local`]: left to the heuristics, the outlined
+    /// halves slowed the sequential 10 000-node grid by about 15 %.
+    #[inline(always)]
+    fn commit_tick_global(
+        &mut self,
+        commit: TickCommit,
+        frame: Option<Frame>,
+        sched: &mut Scheduler<Event>,
+    ) {
+        let node = commit.node;
+        match commit.rearm {
+            Some((gen, at, frame_index, subslot)) => {
+                self.schedule_subslot_tick(node, gen, at, frame_index, subslot, sched);
             }
             None => self.nodes.tick_armed.set(node.index(), false),
         }
-        match plan.action {
-            None => {}
-            Some(TickAction::Backoff { subslot }) => {
-                self.metrics.slot_action(node, subslot, SlotAction::Backoff);
-            }
-            Some(TickAction::Cca { subslot }) => {
-                self.metrics.slot_action(node, subslot, SlotAction::Cca);
-                self.start_cca_internal(node, sched);
-            }
-            Some(TickAction::Send { subslot, frame }) => {
-                self.metrics.slot_action(node, subslot, SlotAction::Tx);
+        match commit.effect {
+            TickEffect::None => {}
+            TickEffect::Cca => self.start_cca_internal(node, sched),
+            TickEffect::Send => {
+                let frame = frame.expect("a send commit carries its frame");
                 self.start_tx_internal(node, frame, 0, TxOrigin::Mac, sched);
             }
         }
     }
 }
 
+/// The node-local half of a [`TickPlan`] commit: bump the node's
+/// subslot-timer generation when the plan re-arms, and count the
+/// action in the node's slot-action row. Both belong to `node` alone
+/// — only `node`'s own events read its generation, and counter
+/// increments commute — so the sharded sweep runs this inside the
+/// parallel decide on each shard's own slices, while the sequential
+/// engine runs it right before [`World::commit_tick_global`]. Returns
+/// the compact global half, plus the frame of a send.
+#[inline(always)]
+fn commit_tick_local(
+    node: NodeId,
+    plan: TickPlan,
+    gens: &mut [u64; MacTimerKind::COUNT],
+    slot_actions: &mut [[u64; 3]],
+) -> (TickCommit, Option<Frame>) {
+    let rearm = plan
+        .rearm
+        .map(|(at, frame_index, subslot)| (next_subslot_gen(gens), at, frame_index, subslot));
+    let (effect, frame) = match plan.action {
+        None => (TickEffect::None, None),
+        Some(TickAction::Backoff { subslot }) => {
+            count_slot_action(slot_actions, subslot, SlotAction::Backoff);
+            (TickEffect::None, None)
+        }
+        Some(TickAction::Cca { subslot }) => {
+            count_slot_action(slot_actions, subslot, SlotAction::Cca);
+            (TickEffect::Cca, None)
+        }
+        Some(TickAction::Send { subslot, frame }) => {
+            count_slot_action(slot_actions, subslot, SlotAction::Tx);
+            (TickEffect::Send, Some(frame))
+        }
+    };
+    (
+        TickCommit {
+            node,
+            rearm,
+            effect,
+        },
+        frame,
+    )
+}
+
+/// Bumps a node's subslot-timer generation — invalidating any tick
+/// still in flight — and returns the new one for the re-armed tick.
+fn next_subslot_gen(gens: &mut [u64; MacTimerKind::COUNT]) -> u64 {
+    let gen = &mut gens[MacTimerKind::Subslot.index()];
+    *gen += 1;
+    *gen
+}
+
+/// What is left of a [`TickPlan`] once its node-local half has run —
+/// the record the sharded sweep's outboxes carry to the barrier fold
+/// (a send's frame travels out of line).
+#[derive(Debug, Clone, Copy)]
+struct TickCommit {
+    node: NodeId,
+    /// The re-armed tick's `(generation, time, frame index, subslot)`;
+    /// `None` parks the tick.
+    rearm: Option<(u64, SimTime, u64, u16)>,
+    effect: TickEffect,
+}
+
+/// The world effect of a tick action (a backoff has none beyond its
+/// slot-action count).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum TickEffect {
+    None,
+    Cca,
+    Send,
+}
+
 /// What a slot-synchronous MAC decided at one subslot boundary — the
 /// output of [`MacProtocol::subslot_decide`], applied to the world by
-/// [`MacCtx::apply_tick_plan`] (or, in the sharded sweep, by the
-/// barrier fold). Splitting the tick into a node-local *decision* and
-/// a world *commit* is what lets one replication fan its boundary
-/// sweep out across cores while committing in the exact single-core
-/// order.
+/// [`MacCtx::apply_tick_plan`] (or, in the sharded sweep, partly by
+/// the shard that decided it and partly by the barrier fold).
+/// Splitting the tick into a node-local *decision* and a world
+/// *commit* is what lets one replication fan its boundary sweep out
+/// across cores while committing in the exact single-core order.
 #[derive(Debug, Clone)]
 pub struct TickPlan {
     /// Re-arm the subslot timer for this boundary `(time, frame
@@ -877,8 +955,9 @@ impl<'a> MacCtx<'a> {
     /// armed-tick bit in the world's active set tracks the
     /// non-parked population.
     pub fn set_subslot_timer_at(&mut self, at: SimTime, frame_index: u64, subslot: u16) {
+        let gen = next_subslot_gen(&mut self.world.nodes.mac_timer_gen[self.node.index()]);
         self.world
-            .arm_subslot_tick(self.node, at, frame_index, subslot, self.sched);
+            .schedule_subslot_tick(self.node, gen, at, frame_index, subslot, self.sched);
     }
 
     /// Is this node's subslot tick currently armed in the world's
@@ -893,11 +972,22 @@ impl<'a> MacCtx<'a> {
 
     /// Applies a [`TickPlan`] — the world-commit half of a subslot
     /// tick. The sequential engine calls this right after
-    /// [`MacProtocol::subslot_decide`]; the sharded engine calls the
-    /// same commit in the barrier fold, so both engines execute one
-    /// code path in one order.
+    /// [`MacProtocol::subslot_decide`]; it runs the commit's
+    /// node-local half and its global half back to back. The sharded
+    /// engine runs the same node-local half inside the parallel decide
+    /// and the same global half in the barrier fold, so both engines
+    /// execute one code path in one order.
     pub fn apply_tick_plan(&mut self, plan: TickPlan) {
-        self.world.commit_tick_plan(self.node, plan, self.sched);
+        let i = self.node.index();
+        let world = &mut *self.world;
+        let (slot_actions, subslots) = world.metrics.slot_action_rows_mut();
+        let (commit, frame) = commit_tick_local(
+            self.node,
+            plan,
+            &mut world.nodes.mac_timer_gen[i],
+            &mut slot_actions[i * subslots..(i + 1) * subslots],
+        );
+        world.commit_tick_global(commit, frame, self.sched);
     }
 
     /// Builds the node-local [`TickView`] for
@@ -1532,6 +1622,7 @@ impl<M: MacProtocol, U: UpperLayer> SimBuilder<M, U> {
             shard_batch_min: self.shard_batch_min,
             batch_scratch: Vec::new(),
             shard_scratch,
+            sweep_stats: SweepStats::default(),
             shard_pool,
             fault_plan: self.fault_plan,
             past_clamp_budget: self.past_clamp_budget,
@@ -1539,17 +1630,24 @@ impl<M: MacProtocol, U: UpperLayer> SimBuilder<M, U> {
     }
 }
 
-/// Reusable per-barrier buffers of the sharded sweep: one tick slate
-/// and one commit outbox per shard, drained every boundary but never
-/// deallocated — the boundary path stays allocation-free in steady
-/// state.
+/// Reusable per-barrier buffers of the sharded sweep: per shard, one
+/// tick slate, one commit outbox and one queue of sent frames. They
+/// are drained every boundary but never deallocated, and the pool's
+/// published task list inside [`qma_des::ShardPool::scope_run`] keeps
+/// its capacity the same way. A parallel bucket on the pool still
+/// allocates twice: the vector of its decide tasks (they borrow this
+/// bucket's slices, so it cannot outlive the bucket) and the lane
+/// cursors of [`qma_des::merge_by_pos`].
 struct ShardScratch {
     /// Per-shard `(bucket position, node id, timer generation)` tick
     /// slates, filled while bucketing a drained boundary batch.
     slates: Vec<Vec<(u32, u32, u64)>>,
-    /// Per-shard `(bucket position, (node, plan))` outboxes — the
+    /// Per-shard `(bucket position, commit)` outboxes — the
     /// boundary-exchange staging the barrier fold consumes.
-    outboxes: Vec<Vec<(u32, (NodeId, TickPlan))>>,
+    outboxes: Vec<Vec<(u32, TickCommit)>>,
+    /// Per-shard frames of the outbox's sends, in outbox order — kept
+    /// out of line so an outbox record stays small.
+    frames: Vec<std::collections::VecDeque<Frame>>,
 }
 
 impl ShardScratch {
@@ -1557,8 +1655,26 @@ impl ShardScratch {
         ShardScratch {
             slates: (0..shards).map(|_| Vec::new()).collect(),
             outboxes: (0..shards).map(|_| Vec::new()).collect(),
+            frames: (0..shards)
+                .map(|_| std::collections::VecDeque::new())
+                .collect(),
         }
     }
+}
+
+/// Always-on counters of the sharded boundary sweep ([`Sim::sweep_stats`]):
+/// plain integers, no clock. All zero for a run whose sweep is not
+/// armed ([`Sim::sharded_sweep_armed`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SweepStats {
+    /// Boundary buckets whose ticks were decided in parallel.
+    pub parallel_buckets: u64,
+    /// Tick commits folded at the barriers of those buckets.
+    pub folded_ticks: u64,
+    /// Drained boundary buckets delivered sequentially instead: below
+    /// [`SimBuilder::shard_batch_min`], or holding an event other than
+    /// a subslot tick.
+    pub sequential_buckets: u64,
 }
 
 /// A runnable simulation.
@@ -1588,6 +1704,8 @@ pub struct Sim<M = Box<dyn MacProtocol>, U = Box<dyn UpperLayer>> {
     batch_scratch: Vec<(SimTime, Event)>,
     /// Reusable per-shard slates/outboxes.
     shard_scratch: ShardScratch,
+    /// Counters of the sharded sweep.
+    sweep_stats: SweepStats,
     /// Persistent decide workers (`None` ⇒ per-boundary scoped
     /// fork/join, or an unsharded plan).
     shard_pool: Option<qma_des::ShardPool>,
@@ -1644,22 +1762,26 @@ impl<M: MacProtocol, U: UpperLayer> Sim<M, U> {
     /// definition.
     pub fn try_run_until(&mut self, horizon: SimTime) -> Result<(), PastClampBudgetExceeded> {
         /// One shard's slice of a boundary bucket: everything phase 1
-        /// of the sharded sweep needs to decide its ticks without
-        /// touching shared mutable state. Built per boundary from
-        /// disjoint `split_at_mut` slices; executed on the persistent
-        /// pool or a scoped thread — bit-identical either way, since
-        /// the job only writes its own slices and outbox and the
-        /// commit fold replays in global bucket order.
+        /// of the sharded sweep needs to decide its ticks and run
+        /// their node-local commit half without touching shared
+        /// mutable state. Built per boundary from disjoint
+        /// `split_at_mut` slices; executed on the persistent pool or a
+        /// scoped thread — bit-identical either way, since the job
+        /// only writes its own slices and outbox and the global fold
+        /// replays in global bucket order.
         struct DecideJob<'a, M> {
             now: SimTime,
             base: usize,
-            sub: usize,
             slate: &'a [(u32, u32, u64)],
             macs: &'a mut [M],
             rngs: &'a mut [StdRng],
-            outbox: &'a mut Vec<(u32, (NodeId, TickPlan))>,
+            gens: &'a mut [[u64; MacTimerKind::COUNT]],
+            /// The shard's slot-action rows, `subslots` cells per node.
+            slot_actions: &'a mut [[u64; 3]],
+            subslots: usize,
+            outbox: &'a mut Vec<(u32, TickCommit)>,
+            frames: &'a mut std::collections::VecDeque<Frame>,
             queues: &'a [TxQueue],
-            gens: &'a [[u64; MacTimerKind::COUNT]],
             enabled: &'a ActiveSet,
             levels: &'a NeighborLevels,
             medium: &'a Medium,
@@ -1671,10 +1793,13 @@ impl<M: MacProtocol, U: UpperLayer> Sim<M, U> {
             fn run(&mut self) {
                 for &(pos, node, gen) in self.slate {
                     let i = node as usize;
+                    let j = i - self.base;
                     // The same validity gate the sequential dispatcher
-                    // applies; no commit in this bucket can change
-                    // another node's verdict.
-                    if !self.enabled.get(i) || self.gens[i][self.sub] != gen {
+                    // applies. A bucket holds at most one live tick per
+                    // node, and only the node's own commit bumps its
+                    // generation, so no commit in this bucket can
+                    // change another entry's verdict.
+                    if !self.enabled.get(i) || self.gens[j][MacTimerKind::Subslot.index()] != gen {
                         continue;
                     }
                     let mut view = TickView {
@@ -1684,13 +1809,20 @@ impl<M: MacProtocol, U: UpperLayer> Sim<M, U> {
                         phy: self.phy,
                         queue: &self.queues[i],
                         levels: self.levels,
-                        rng: &mut self.rngs[i - self.base],
+                        rng: &mut self.rngs[j],
                         transmitting: self.medium.is_transmitting(qma_phy::PhyNodeId(node)),
                     };
-                    let decided = self.macs[i - self.base]
+                    let decided = self.macs[j]
                         .subslot_decide(&mut view)
                         .expect("split-tick MAC must return a plan");
-                    self.outbox.push((pos, (NodeId(node), decided)));
+                    let (commit, frame) = commit_tick_local(
+                        NodeId(node),
+                        decided,
+                        &mut self.gens[j],
+                        &mut self.slot_actions[j * self.subslots..(j + 1) * self.subslots],
+                    );
+                    self.frames.extend(frame);
+                    self.outbox.push((pos, commit));
                 }
             }
         }
@@ -1845,13 +1977,14 @@ impl<M: MacProtocol, U: UpperLayer> Sim<M, U> {
             }
 
             /// One drained boundary bucket through the sharded sweep:
-            /// bucket the ticks by owning shard, decide in parallel
-            /// (node-local state only), then commit through the
+            /// bucket the ticks by owning shard, decide in parallel and
+            /// run each decision's node-local commit half there (node
+            /// state only), then run the global commit half through the
             /// barrier fold in exact bucket order. Results are
             /// bit-identical to sequential delivery by construction —
             /// decisions of distinct nodes read no state any
-            /// same-instant commit writes, and the commits replay in
-            /// the sequential order.
+            /// same-instant commit writes, and the global commits
+            /// replay in the sequential order.
             fn handle_subslot_batch(
                 &mut self,
                 batch: &mut Vec<(SimTime, Event)>,
@@ -1859,6 +1992,7 @@ impl<M: MacProtocol, U: UpperLayer> Sim<M, U> {
                 plan: &qma_des::ShardPlan,
                 scratch: &mut ShardScratch,
                 pool: Option<&mut qma_des::ShardPool>,
+                stats: &mut SweepStats,
             ) {
                 for slate in scratch.slates.iter_mut() {
                     slate.clear();
@@ -1884,6 +2018,7 @@ impl<M: MacProtocol, U: UpperLayer> Sim<M, U> {
                     }
                 }
                 if !plain {
+                    stats.sequential_buckets += 1;
                     for (t, ev) in batch.drain(..) {
                         self.handle(t, ev, sched);
                     }
@@ -1892,70 +2027,76 @@ impl<M: MacProtocol, U: UpperLayer> Sim<M, U> {
 
                 let now = batch[0].0;
                 {
-                    // Phase 1 — parallel decide. Each shard owns a
-                    // disjoint `&mut` slice of the MACs and RNGs
+                    // Phase 1 — parallel decide plus node-local commit.
+                    // Each shard owns a disjoint `&mut` slice of the
+                    // MACs, RNGs, timer generations and slot-action rows
                     // (contiguous plan ⇒ `split_at_mut`); queues,
                     // neighbour levels, medium, clock and PHY are
-                    // shared read-only, and no commit runs until every
-                    // worker has joined — the wheel-cursor barrier.
-                    // The jobs run either on the persistent shard pool
-                    // (default) or on per-boundary scoped threads;
-                    // identical results by construction, since a job
-                    // only writes its own slices and outbox.
+                    // shared read-only, and no global commit runs until
+                    // every worker has joined — the wheel-cursor
+                    // barrier. The jobs run either on the persistent
+                    // shard pool (default) or on per-boundary scoped
+                    // threads; identical results by construction, since
+                    // a job only writes its own slices and outbox.
                     let world = &mut *self.world;
                     let nodes = &mut world.nodes;
                     let queues: &[TxQueue] = &nodes.queue;
-                    let gens: &[[u64; MacTimerKind::COUNT]] = &nodes.mac_timer_gen;
                     let enabled = &nodes.enabled;
                     let levels = &world.neighbor_levels;
                     let medium = &world.medium;
                     let clock = &world.clock;
                     let phy = &world.phy;
-                    let sub = MacTimerKind::Subslot.index();
                     let mut mac_rest: &mut [M] = &mut *self.macs;
                     let mut rng_rest: &mut [StdRng] = &mut nodes.mac_rng;
-                    let mut jobs: Vec<DecideJob<'_, M>> = Vec::with_capacity(plan.shards());
-                    for (s, outbox) in scratch.outboxes.iter_mut().enumerate() {
+                    let mut gen_rest: &mut [[u64; MacTimerKind::COUNT]] = &mut nodes.mac_timer_gen;
+                    let (mut slot_rest, subslots) = world.metrics.slot_action_rows_mut();
+                    let mut tasks = Vec::with_capacity(plan.shards());
+                    for (s, (outbox, frames)) in scratch
+                        .outboxes
+                        .iter_mut()
+                        .zip(scratch.frames.iter_mut())
+                        .enumerate()
+                    {
                         let range = plan.range(s);
-                        let (macs_s, mac_tail) = mac_rest.split_at_mut(range.len());
+                        let len = range.len();
+                        let (macs_s, mac_tail) = mac_rest.split_at_mut(len);
                         mac_rest = mac_tail;
-                        let (rngs_s, rng_tail) = rng_rest.split_at_mut(range.len());
+                        let (rngs_s, rng_tail) = rng_rest.split_at_mut(len);
                         rng_rest = rng_tail;
+                        let (gens_s, gen_tail) = gen_rest.split_at_mut(len);
+                        gen_rest = gen_tail;
+                        let (slots_s, slot_tail) = slot_rest.split_at_mut(len * subslots);
+                        slot_rest = slot_tail;
                         let slate: &[(u32, u32, u64)] = &scratch.slates[s];
                         if slate.is_empty() {
                             continue;
                         }
-                        jobs.push(DecideJob {
+                        let mut job = DecideJob {
                             now,
                             base: range.start,
-                            sub,
                             slate,
                             macs: macs_s,
                             rngs: rngs_s,
+                            gens: gens_s,
+                            slot_actions: slots_s,
+                            subslots,
                             outbox,
+                            frames,
                             queues,
-                            gens,
                             enabled,
                             levels,
                             medium,
                             clock,
                             phy,
-                        });
+                        };
+                        tasks.push(move || job.run());
                     }
                     match pool {
-                        Some(pool) => {
-                            let mut closures: Vec<_> =
-                                jobs.iter_mut().map(|job| move || job.run()).collect();
-                            let mut refs: Vec<&mut (dyn FnMut() + Send)> = closures
-                                .iter_mut()
-                                .map(|c| c as &mut (dyn FnMut() + Send))
-                                .collect();
-                            pool.scope_run(&mut refs);
-                        }
+                        Some(pool) => pool.scope_run(&mut tasks),
                         None => {
                             std::thread::scope(|scope| {
-                                for job in jobs.iter_mut() {
-                                    scope.spawn(move || job.run());
+                                for task in tasks.iter_mut() {
+                                    scope.spawn(task);
                                 }
                             });
                         }
@@ -1965,9 +2106,18 @@ impl<M: MacProtocol, U: UpperLayer> Sim<M, U> {
                 // Phase 2 — the boundary exchange: fold the per-shard
                 // outboxes back in ascending bucket position, which is
                 // exactly the sequential processing order (and is
-                // independent of the shard count).
-                qma_des::merge_by_pos(&mut scratch.outboxes, |_pos, (node, decided)| {
-                    self.world.commit_tick_plan(node, decided, sched);
+                // independent of the shard count), running each
+                // commit's global half.
+                stats.parallel_buckets += 1;
+                let frames = &mut scratch.frames;
+                qma_des::merge_by_pos(&mut scratch.outboxes, |_pos, commit| {
+                    let frame = (commit.effect == TickEffect::Send).then(|| {
+                        frames[plan.shard_of(commit.node.index())]
+                            .pop_front()
+                            .expect("every send has its frame queued")
+                    });
+                    self.world.commit_tick_global(commit, frame, sched);
+                    stats.folded_ticks += 1;
                 });
                 batch.clear();
                 if !self.world.notices.is_empty() {
@@ -2199,6 +2349,7 @@ impl<M: MacProtocol, U: UpperLayer> Sim<M, U> {
         let sched = &mut self.sched;
         let batch = &mut self.batch_scratch;
         let scratch = &mut self.shard_scratch;
+        let stats = &mut self.sweep_stats;
         let sharded = self.plan.shards() > 1 && self.split_ticks;
         let clamp_budget = self.past_clamp_budget;
         loop {
@@ -2226,8 +2377,10 @@ impl<M: MacProtocol, U: UpperLayer> Sim<M, U> {
                         &self.plan,
                         scratch,
                         self.shard_pool.as_mut(),
+                        stats,
                     );
                 } else {
+                    stats.sequential_buckets += 1;
                     for (t, ev) in batch.drain(..) {
                         driver.handle(t, ev, sched);
                     }
@@ -2315,6 +2468,14 @@ impl<M: MacProtocol, U: UpperLayer> Sim<M, U> {
     /// over an all-split-tick MAC population on the wheel scheduler).
     pub fn sharded_sweep_armed(&self) -> bool {
         self.plan.shards() > 1 && self.split_ticks
+    }
+
+    /// Counters of the sharded boundary sweep so far: buckets swept
+    /// in parallel, ticks folded at their barriers, and buckets run
+    /// sequentially. They tell a sweep that really fanned out from one
+    /// that silently fell back to sequential delivery.
+    pub fn sweep_stats(&self) -> SweepStats {
+        self.sweep_stats
     }
 
     /// Energy report for a node up to the current time.

@@ -20,6 +20,7 @@
 //! at scale, not routing-tree congestion.
 
 use qma_des::SimTime;
+use qma_mac::MacImpl;
 use qma_net::TrafficPattern;
 use qma_netsim::{Address, AppInfo, Frame, NodeId, SimBuilder, TxResult, UpperCtx, UpperLayer};
 
@@ -154,18 +155,40 @@ fn run_with_plan(
     seed: u64,
     plan: Option<qma_netsim::FaultPlan>,
 ) -> RunMetrics {
+    let sources: Vec<NodeId> = topo.sources().map(|i| NodeId(i as u32)).collect();
+    let mut builder = sim_builder(topo, p, seed);
+    if let Some(plan) = plan {
+        builder = builder.fault_plan(plan);
+    }
+    let mut sim = builder.build();
+    sim.run_until(SimTime::from_secs(p.duration_s));
+
+    let m = sim.metrics();
+    let delivered: u64 = sources.iter().map(|&s| m.delivered(s)).sum();
+    // Normalised by the configured horizon (not the last-event time,
+    // which depends on when the final queue drained).
+    let aux = delivered as f64 / p.duration_s as f64;
+    crate::params::collect_metrics(&sim, &sources, aux)
+}
+
+/// The simulation of one replication over `topo`, configured but not
+/// built — so callers (the shard-equivalence tests) can still set
+/// execution options such as [`SimBuilder::shards`].
+pub fn sim_builder(
+    topo: &qma_topo::Topology,
+    p: &ScenarioParams,
+    seed: u64,
+) -> SimBuilder<MacImpl, UpperImpl> {
     let parents: Vec<Option<NodeId>> = topo
         .parent
         .iter()
         .map(|q| q.map(|i| NodeId(i as u32)))
         .collect();
-    let sources: Vec<NodeId> = topo.sources().map(|i| NodeId(i as u32)).collect();
-
     let mac = p.mac;
     let qma_cfg = p.qma_mac_config();
     let delta = p.delta;
     let packets = p.packets;
-    let mut builder = SimBuilder::new(topo.connectivity.clone(), seed)
+    SimBuilder::new(topo.connectivity.clone(), seed)
         .clock(p.clock())
         // At 10k+ nodes, per-frame learner sampling would dominate
         // both time and memory; massive runs collect aggregates only.
@@ -182,19 +205,7 @@ fn run_with_plan(
                 TrafficPattern::Silent
             };
             UpperImpl::Massive(MassiveApp::new(pattern, parents[node.index()], 60))
-        });
-    if let Some(plan) = plan {
-        builder = builder.fault_plan(plan);
-    }
-    let mut sim = builder.build();
-    sim.run_until(SimTime::from_secs(p.duration_s));
-
-    let m = sim.metrics();
-    let delivered: u64 = sources.iter().map(|&s| m.delivered(s)).sum();
-    // Normalised by the configured horizon (not the last-event time,
-    // which depends on when the final queue drained).
-    let aux = delivered as f64 / p.duration_s as f64;
-    crate::params::collect_metrics(&sim, &sources, aux)
+        })
 }
 
 /// A one-line summary for the bench binary: wall-clock metrics are

@@ -264,6 +264,7 @@ fn sharded_sweep_is_bit_identical_to_sequential() {
     };
     for p in [star, grid] {
         p.validate_for(ScenarioKind::Massive).unwrap();
+        sharded_sim_is_bit_identical(&p, 500);
         let run_with_shards = |k: usize| {
             qma_netsim::set_default_shards(k);
             qma_netsim::set_default_shard_batch_min(1);
@@ -297,6 +298,63 @@ fn sharded_sweep_is_bit_identical_to_sequential() {
     assert_eq!(stats.shards, 4);
     assert!(stats.cross_edges > 0, "hidden star is all-border");
     sim.run_until(qma_des::SimTime::from_secs(1));
+}
+
+/// Builds one massive replication directly at K ∈ {1, 2, 4} with the
+/// parallel path forced, and compares what `RunMetrics` does not
+/// hold: every node's slot-action counts and the armed-tick count —
+/// both written by the commit's node-local half, which the sharded
+/// sweep runs inside its parallel decide. The sweep counters must
+/// show that K = 2 and K = 4 really fanned out rather than falling
+/// back to sequential delivery.
+fn sharded_sim_is_bit_identical(p: &qma_scenarios::ScenarioParams, seed: u64) {
+    use qma_netsim::SweepStats;
+    use qma_scenarios::massive;
+
+    let topo = massive::build_topology(p);
+    let run = |k: usize| {
+        let mut sim = massive::sim_builder(&topo, p, seed)
+            .shards(k)
+            .shard_batch_min(1)
+            .build();
+        assert_eq!(sim.sharded_sweep_armed(), k > 1);
+        sim.run_until(qma_des::SimTime::from_secs(p.duration_s));
+        let m = sim.metrics();
+        let slot_actions: Vec<Vec<[u64; 3]>> = (0..m.nodes())
+            .map(|i| m.slot_action_counts(NodeId(i as u32)).to_vec())
+            .collect();
+        let observed = (digest(&sim), slot_actions, sim.world().armed_ticks());
+        (observed, sim.sweep_stats())
+    };
+    let (sequential, stats_1) = run(1);
+    assert_eq!(stats_1, SweepStats::default(), "K=1 never drains buckets");
+    let actions: u64 = sequential.1.iter().flatten().flatten().sum();
+    assert!(
+        actions > 1_000,
+        "too few slot actions ({actions}) to compare"
+    );
+    let mut stats_k = Vec::new();
+    for k in [2, 4] {
+        let (sharded, stats) = run(k);
+        assert_eq!(sequential.0, sharded.0, "K={k} digest diverged from K=1");
+        assert_eq!(
+            sequential.1, sharded.1,
+            "K={k} slot actions diverged from K=1"
+        );
+        assert_eq!(
+            sequential.2, sharded.2,
+            "K={k} armed ticks diverged from K=1"
+        );
+        assert!(stats.parallel_buckets > 0, "K={k} never swept in parallel");
+        assert!(stats.folded_ticks > 0, "K={k} folded no tick");
+        assert_eq!(stats.sequential_buckets, 0, "K={k} fell back to sequential");
+        stats_k.push(stats);
+    }
+    // What is swept and folded depends on the buckets, not on K.
+    assert_eq!(
+        stats_k[0], stats_k[1],
+        "sweep counters differ between K=2 and K=4"
+    );
 }
 
 #[test]
