@@ -226,8 +226,13 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// The armed fault is process-wide: tests that arm one run one at
+    /// a time, or one test's `arm` replaces another's mid-test.
+    static FAULT_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
     #[test]
     fn injected_fault_fails_matching_writes_then_disarms() {
+        let _guard = FAULT_LOCK.lock().unwrap();
         let dir = tmp_dir("fault");
         let path = dir.join("fault-target.csv");
         // One write_atomic crosses two checkpoints (write + rename):
@@ -249,6 +254,7 @@ mod tests {
 
     #[test]
     fn non_matching_paths_are_untouched_by_an_armed_fault() {
+        let _guard = FAULT_LOCK.lock().unwrap();
         let dir = tmp_dir("nomatch");
         io_fault::arm("no-such-substring-anywhere", 0, 1);
         write_atomic(&dir.join("other.csv"), "fine\n").unwrap();

@@ -42,7 +42,7 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-use qma_scenarios::ScenarioParams;
+use qma_scenarios::{run_scenario, ScenarioParams};
 
 use super::agg::ConfigAggregate;
 use super::artifact::{self, json_str, ArtifactRow, CampaignMeta};
@@ -510,9 +510,10 @@ fn remove_stale_lease(dirs: &FabricDirs, stem: &str, stale: Duration) -> bool {
 }
 
 /// How one config executes inside a fabric worker. Production is
-/// [`run_config`] (real simulations); the state-machine property
-/// tests inject scripted executors to drive hundreds of
-/// claim/crash/reclaim/retry interleavings without simulating.
+/// [`run_config`] over [`run_scenario`] (real simulations); the
+/// state-machine property tests inject scripted executors to drive
+/// hundreds of claim/crash/reclaim/retry interleavings without
+/// simulating.
 pub(crate) type ConfigRunner<'a> = dyn Fn(
         &CampaignSpec,
         &ConfigPoint,
@@ -530,7 +531,13 @@ pub fn run_fabric(
     cfg: &FabricConfig,
     progress: &(dyn Fn(&str) + Sync),
 ) -> Result<FabricOutcome, String> {
-    run_fabric_with(spec, out_dir, cfg, progress, &run_config)
+    run_fabric_with(
+        spec,
+        out_dir,
+        cfg,
+        progress,
+        &|spec, point, params, opts| run_config(spec, point, params, opts, &run_scenario),
+    )
 }
 
 /// [`run_fabric`] with an injected per-config executor.

@@ -30,7 +30,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-use qma_scenarios::{run_scenario, RunMetrics, ScenarioParams};
+use qma_scenarios::{run_scenario, RunMetrics, ScenarioKind, ScenarioParams};
 use rayon::prelude::*;
 
 use crate::runner::{panic_message, run_with_watchdog, Parallelism, WatchdogError};
@@ -124,7 +124,20 @@ pub fn run_campaign_opts(
     spec: &CampaignSpec,
     out_dir: &Path,
     opts: &CampaignOptions,
+    progress: impl FnMut(&str),
+) -> Result<CampaignOutcome, String> {
+    run_campaign_with(spec, out_dir, opts, progress, &run_scenario)
+}
+
+/// [`run_campaign_opts`] with the replication body as a parameter:
+/// production runs [`run_scenario`]; tests substitute a body whose
+/// timing they control.
+pub(crate) fn run_campaign_with<B: RepBody>(
+    spec: &CampaignSpec,
+    out_dir: &Path,
+    opts: &CampaignOptions,
     mut progress: impl FnMut(&str),
+    body: &B,
 ) -> Result<CampaignOutcome, String> {
     let points = spec.expand()?;
     // Fail fast on any invalid grid point before simulating the first.
@@ -160,7 +173,7 @@ pub fn run_campaign_opts(
             ));
             continue;
         }
-        let agg = match run_config(spec, point, p, opts) {
+        let agg = match run_config(spec, point, p, opts, body) {
             Ok(agg) => agg,
             Err(fail) => {
                 // Report and move on: one poisoned config must not
@@ -229,11 +242,14 @@ pub fn run_campaign_opts(
 /// deterministic: results fold in replication order on both
 /// execution paths, so the reported failure is always the
 /// lowest-indexed panicking rep.
-pub(crate) fn run_config(
+///
+/// `body` runs one replication; production passes [`run_scenario`].
+pub(crate) fn run_config<B: RepBody>(
     spec: &CampaignSpec,
     point: &ConfigPoint,
     params: &ScenarioParams,
     opts: &CampaignOptions,
+    body: &B,
 ) -> Result<ConfigAggregate, FailedRep> {
     let stream = point.seed_stream(spec.master_seed);
     let scenario = spec.scenario;
@@ -249,16 +265,16 @@ pub(crate) fn run_config(
             // AssertUnwindSafe: on Err every captured reference is
             // dropped without being observed again, so a half-mutated
             // simulation state can never leak into later replications.
-            None => catch_unwind(AssertUnwindSafe(|| run_scenario(scenario, params, seed)))
+            None => catch_unwind(AssertUnwindSafe(|| body(scenario, params, seed)))
                 .map_err(|payload| fail(panic_message(payload))),
             Some(timeout) => {
                 // The watchdog thread needs `'static` inputs: clone
-                // the params (cheap — plain scalars) so a detached
-                // hung replication can never observe freed state.
+                // the params (cheap — plain scalars) and the body so a
+                // detached hung replication can never observe freed
+                // state.
                 let params = params.clone();
-                let job = move || {
-                    catch_unwind(AssertUnwindSafe(|| run_scenario(scenario, &params, seed)))
-                };
+                let body = body.clone();
+                let job = move || catch_unwind(AssertUnwindSafe(|| body(scenario, &params, seed)));
                 match run_with_watchdog(timeout, job) {
                     Ok(Ok(metrics)) => Ok(metrics),
                     Ok(Err(payload)) => Err(fail(panic_message(payload))),
@@ -294,6 +310,19 @@ pub(crate) fn run_config(
         }
     }
     Ok(agg)
+}
+
+/// The body of one replication: `(scenario, params, seed) → metrics`.
+/// `'static` and `Clone` so the watchdog can move a copy onto its
+/// job thread.
+pub(crate) trait RepBody:
+    Fn(ScenarioKind, &ScenarioParams, u64) -> RunMetrics + Clone + Send + Sync + 'static
+{
+}
+
+impl<F> RepBody for F where
+    F: Fn(ScenarioKind, &ScenarioParams, u64) -> RunMetrics + Clone + Send + Sync + 'static
+{
 }
 
 /// Loads resumable rows from a partial CSV. Rows computed under a
@@ -667,17 +696,28 @@ skew_us = [0, -100000]
 
     #[test]
     fn rep_timeout_watchdog_converts_a_slow_rep_into_a_failed_rep() {
-        // A 1 ms budget no real replication can meet: every config
-        // must fail through the watchdog, each failure carrying its
-        // reproduction seed; the campaign still completes (no rows,
-        // resumable). A generous budget must change nothing.
+        // A replication that cannot finish before its 1 ms budget runs
+        // out: every config must fail through the watchdog, each
+        // failure carrying its reproduction seed; the campaign still
+        // completes (no rows, resumable). A generous budget must
+        // change nothing.
         let dir = tmp_dir("watchdog");
         let spec = tiny_spec("t");
         let strict = CampaignOptions {
             mode: Parallelism::Serial,
             rep_timeout: Some(std::time::Duration::from_millis(1)),
         };
-        let out = run_campaign_opts(&spec, &dir, &strict, |_| {}).unwrap();
+        // The body blocks until the test drops `release`, which it
+        // does only after every watchdog has reported; the detached
+        // replications then run to completion unobserved.
+        let (release, gate) = std::sync::mpsc::channel::<()>();
+        let gate = std::sync::Arc::new(std::sync::Mutex::new(gate));
+        let blocked = move |kind, params: &ScenarioParams, seed| {
+            let _ = gate.lock().expect("gate lock").recv();
+            run_scenario(kind, params, seed)
+        };
+        let out = run_campaign_with(&spec, &dir, &strict, |_| {}, &blocked).unwrap();
+        drop(release);
         assert_eq!(out.executed, 0);
         assert_eq!(out.failures.len(), 2, "every config must trip the watchdog");
         for fail in &out.failures {

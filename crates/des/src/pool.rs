@@ -18,6 +18,15 @@
 //! replays commits in global bucket order regardless of which thread
 //! decided which shard. The scenarios determinism suite asserts
 //! bit-identity against the scoped fork/join path.
+//!
+//! Memory: the pool itself writes one shared line per task claim and
+//! completion (the state mutex); what tasks write is the caller's
+//! business. The netsim sweep gives every shard a 128-byte-aligned
+//! lane holding its slate, outbox and frame queue, so during a batch
+//! no cache line is written by two tasks except at the edges of the
+//! node slices. The published task list keeps its capacity across
+//! batches; what still allocates per batch is the caller's vector of
+//! borrowed tasks and the fold's lane cursors.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};

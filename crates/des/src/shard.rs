@@ -107,10 +107,17 @@ impl ShardPlan {
 /// that visits entries in ascending global position — i.e. in exactly
 /// the order a single-shard run would have produced them. Outboxes
 /// are drained but keep their allocations for the next barrier.
-pub fn merge_by_pos<T>(outboxes: &mut [Vec<(u32, T)>], mut apply: impl FnMut(u32, T)) {
+///
+/// An outbox is anything that lends its `Vec` through [`AsMut`]: a
+/// plain `Vec<(u32, T)>`, or a per-shard lane struct that keeps the
+/// outbox next to the shard's other buffers.
+pub fn merge_by_pos<L, T>(outboxes: &mut [L], mut apply: impl FnMut(u32, T))
+where
+    L: AsMut<Vec<(u32, T)>>,
+{
     let mut lanes: Vec<_> = outboxes
         .iter_mut()
-        .map(|outbox| outbox.drain(..).peekable())
+        .map(|outbox| outbox.as_mut().drain(..).peekable())
         .collect();
     loop {
         let mut best: Option<(u32, usize)> = None;
@@ -200,5 +207,35 @@ mod tests {
         assert_eq!(seen, vec![(7, 70)]);
         let mut none: Vec<Vec<(u32, u8)>> = Vec::new();
         merge_by_pos(&mut none, |_, _| panic!("nothing to merge"));
+    }
+
+    #[test]
+    fn merge_by_pos_folds_lane_structs() {
+        // A lane keeps its outbox next to other per-shard state; the
+        // fold reaches the outbox through `AsMut` and leaves the rest.
+        struct Lane {
+            outbox: Vec<(u32, char)>,
+            side: u8,
+        }
+        impl AsMut<Vec<(u32, char)>> for Lane {
+            fn as_mut(&mut self) -> &mut Vec<(u32, char)> {
+                &mut self.outbox
+            }
+        }
+        let mut lanes = [
+            Lane {
+                outbox: vec![(1, 'b'), (2, 'c')],
+                side: 7,
+            },
+            Lane {
+                outbox: vec![(0, 'a')],
+                side: 9,
+            },
+        ];
+        let mut seen = String::new();
+        merge_by_pos(&mut lanes, |_, c| seen.push(c));
+        assert_eq!(seen, "abc");
+        assert!(lanes.iter().all(|l| l.outbox.is_empty()));
+        assert_eq!((lanes[0].side, lanes[1].side), (7, 9));
     }
 }

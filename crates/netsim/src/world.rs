@@ -1595,10 +1595,17 @@ impl<M: MacProtocol, U: UpperLayer> SimBuilder<M, U> {
         let shard_scratch = ShardScratch::new(plan.shards());
         // One persistent pool per simulation (K − 1 threads: the
         // driver thread participates in every barrier), parked on a
-        // condvar between boundaries. Only built when the sharded
-        // sweep can actually engage.
-        let shard_pool = (self.shard_pool && plan.shards() > 1 && split_ticks)
-            .then(|| qma_des::ShardPool::new(plan.shards() - 1));
+        // condvar between boundaries. Only sized here: the first
+        // parallel bucket spawns it, so a run whose buckets all stay
+        // below the batch threshold never pays for the threads.
+        let shard_pool = LazyPool {
+            threads: if self.shard_pool && plan.shards() > 1 && split_ticks {
+                plan.shards() - 1
+            } else {
+                0
+            },
+            pool: None,
+        };
 
         Sim {
             world: World {
@@ -1630,35 +1637,94 @@ impl<M: MacProtocol, U: UpperLayer> SimBuilder<M, U> {
     }
 }
 
-/// Reusable per-barrier buffers of the sharded sweep: per shard, one
-/// tick slate, one commit outbox and one queue of sent frames. They
-/// are drained every boundary but never deallocated, and the pool's
-/// published task list inside [`qma_des::ShardPool::scope_run`] keeps
-/// its capacity the same way. A parallel bucket on the pool still
-/// allocates twice: the vector of its decide tasks (they borrow this
-/// bucket's slices, so it cannot outlive the bucket) and the lane
-/// cursors of [`qma_des::merge_by_pos`].
+/// One shard's private buffers in the sharded sweep, on cache lines
+/// of its own.
+///
+/// **The lane rule:** during the parallel decide (phase 1), no cache
+/// line is written by two shards. A shard's decide job pushes into its
+/// outbox and frame queue once per decided tick, and each push writes
+/// the buffer's header (length, head). Headers of different shards
+/// that shared a line would bounce it between cores on every tick, so
+/// a lane is aligned to 128 bytes — two 64-byte lines, the unit the
+/// adjacent-line prefetcher pulls in — and lanes sit 128 bytes apart.
+/// The node-indexed state a job writes (MACs, RNGs, timer generations,
+/// slot-action rows) is split into contiguous per-shard slices, so the
+/// only lines two shards may both write are the one line at each edge
+/// between two slices.
+#[repr(align(128))]
+struct ShardLane {
+    /// `(bucket position, node id, timer generation)` ticks of this
+    /// shard, filled by the driver while bucketing a drained boundary
+    /// batch and only read in phase 1.
+    slate: Vec<(u32, u32, u64)>,
+    /// `(bucket position, commit)` records — the boundary-exchange
+    /// staging the barrier fold consumes.
+    outbox: Vec<(u32, TickCommit)>,
+    /// Frames of the outbox's sends, in outbox order — kept out of
+    /// line so an outbox record stays small.
+    frames: std::collections::VecDeque<Frame>,
+}
+
+impl AsMut<Vec<(u32, TickCommit)>> for ShardLane {
+    fn as_mut(&mut self) -> &mut Vec<(u32, TickCommit)> {
+        &mut self.outbox
+    }
+}
+
+/// Reusable per-barrier buffers of the sharded sweep: one
+/// [`ShardLane`] per shard, written in phase 1 only by that shard's
+/// decide job and drained by the barrier fold, plus the fold's own
+/// frame queues. The fold reads the frames from those queues — a
+/// lane's filled queue swaps with the fold's drained one at every
+/// barrier — so it never borrows a lane while
+/// [`qma_des::merge_by_pos`] drains the lanes' outboxes. Every buffer
+/// keeps its capacity across boundaries, and the pool's published task
+/// list inside [`qma_des::ShardPool::scope_run`] does the same. A
+/// parallel bucket still allocates twice: the vector of its decide
+/// tasks (they borrow this bucket's slices, so it cannot outlive the
+/// bucket) and the lane cursors of [`qma_des::merge_by_pos`].
 struct ShardScratch {
-    /// Per-shard `(bucket position, node id, timer generation)` tick
-    /// slates, filled while bucketing a drained boundary batch.
-    slates: Vec<Vec<(u32, u32, u64)>>,
-    /// Per-shard `(bucket position, commit)` outboxes — the
-    /// boundary-exchange staging the barrier fold consumes.
-    outboxes: Vec<Vec<(u32, TickCommit)>>,
-    /// Per-shard frames of the outbox's sends, in outbox order — kept
-    /// out of line so an outbox record stays small.
-    frames: Vec<std::collections::VecDeque<Frame>>,
+    lanes: Vec<ShardLane>,
+    /// Per-shard frames the fold pops, in outbox order; empty between
+    /// barriers.
+    fold_frames: Vec<std::collections::VecDeque<Frame>>,
 }
 
 impl ShardScratch {
     fn new(shards: usize) -> Self {
         ShardScratch {
-            slates: (0..shards).map(|_| Vec::new()).collect(),
-            outboxes: (0..shards).map(|_| Vec::new()).collect(),
-            frames: (0..shards)
+            lanes: (0..shards)
+                .map(|_| ShardLane {
+                    slate: Vec::new(),
+                    outbox: Vec::new(),
+                    frames: std::collections::VecDeque::new(),
+                })
+                .collect(),
+            fold_frames: (0..shards)
                 .map(|_| std::collections::VecDeque::new())
                 .collect(),
         }
+    }
+}
+
+/// The sharded sweep's persistent decide workers, spawned by the first
+/// parallel bucket rather than at build time: most runs of small
+/// worlds never fill a bucket up to [`SimBuilder::shard_batch_min`].
+struct LazyPool {
+    /// Workers to spawn (K − 1); zero runs parallel buckets on
+    /// per-boundary scoped threads instead.
+    threads: usize,
+    pool: Option<qma_des::ShardPool>,
+}
+
+impl LazyPool {
+    /// The pool, spawned on first use; `None` for scoped threads.
+    fn get(&mut self) -> Option<&mut qma_des::ShardPool> {
+        let threads = self.threads;
+        (threads > 0).then(|| {
+            self.pool
+                .get_or_insert_with(|| qma_des::ShardPool::new(threads))
+        })
     }
 }
 
@@ -1702,13 +1768,14 @@ pub struct Sim<M = Box<dyn MacProtocol>, U = Box<dyn UpperLayer>> {
     shard_batch_min: usize,
     /// Reusable drained-boundary-bucket buffer.
     batch_scratch: Vec<(SimTime, Event)>,
-    /// Reusable per-shard slates/outboxes.
+    /// Reusable per-shard lanes.
     shard_scratch: ShardScratch,
     /// Counters of the sharded sweep.
     sweep_stats: SweepStats,
-    /// Persistent decide workers (`None` ⇒ per-boundary scoped
-    /// fork/join, or an unsharded plan).
-    shard_pool: Option<qma_des::ShardPool>,
+    /// Persistent decide workers, spawned by the first parallel
+    /// bucket (never, for per-boundary scoped fork/join or an
+    /// unsharded plan).
+    shard_pool: LazyPool,
     /// The armed fault schedule, if any (see [`crate::faults`]).
     fault_plan: Option<crate::faults::FaultPlan>,
     /// Abort threshold for past-time clamps (`u64::MAX` = unlimited).
@@ -1767,20 +1834,19 @@ impl<M: MacProtocol, U: UpperLayer> Sim<M, U> {
         /// mutable state. Built per boundary from disjoint
         /// `split_at_mut` slices; executed on the persistent pool or a
         /// scoped thread — bit-identical either way, since the job
-        /// only writes its own slices and outbox and the global fold
+        /// only writes its own slices and lane and the global fold
         /// replays in global bucket order.
         struct DecideJob<'a, M> {
             now: SimTime,
             base: usize,
-            slate: &'a [(u32, u32, u64)],
+            /// This shard's lane: slate in, outbox and frames out.
+            lane: &'a mut ShardLane,
             macs: &'a mut [M],
             rngs: &'a mut [StdRng],
             gens: &'a mut [[u64; MacTimerKind::COUNT]],
             /// The shard's slot-action rows, `subslots` cells per node.
             slot_actions: &'a mut [[u64; 3]],
             subslots: usize,
-            outbox: &'a mut Vec<(u32, TickCommit)>,
-            frames: &'a mut std::collections::VecDeque<Frame>,
             queues: &'a [TxQueue],
             enabled: &'a ActiveSet,
             levels: &'a NeighborLevels,
@@ -1791,7 +1857,12 @@ impl<M: MacProtocol, U: UpperLayer> Sim<M, U> {
 
         impl<M: MacProtocol> DecideJob<'_, M> {
             fn run(&mut self) {
-                for &(pos, node, gen) in self.slate {
+                let ShardLane {
+                    slate,
+                    outbox,
+                    frames,
+                } = &mut *self.lane;
+                for &(pos, node, gen) in slate.iter() {
                     let i = node as usize;
                     let j = i - self.base;
                     // The same validity gate the sequential dispatcher
@@ -1821,8 +1892,8 @@ impl<M: MacProtocol, U: UpperLayer> Sim<M, U> {
                         &mut self.gens[j],
                         &mut self.slot_actions[j * self.subslots..(j + 1) * self.subslots],
                     );
-                    self.frames.extend(frame);
-                    self.outbox.push((pos, commit));
+                    frames.extend(frame);
+                    outbox.push((pos, commit));
                 }
             }
         }
@@ -1991,11 +2062,11 @@ impl<M: MacProtocol, U: UpperLayer> Sim<M, U> {
                 sched: &mut Scheduler<Event>,
                 plan: &qma_des::ShardPlan,
                 scratch: &mut ShardScratch,
-                pool: Option<&mut qma_des::ShardPool>,
+                pool: &mut LazyPool,
                 stats: &mut SweepStats,
             ) {
-                for slate in scratch.slates.iter_mut() {
-                    slate.clear();
+                for lane in scratch.lanes.iter_mut() {
+                    lane.slate.clear();
                 }
                 // Only subslot ticks travel through the wheel today;
                 // anything else falls the whole batch back to
@@ -2008,7 +2079,8 @@ impl<M: MacProtocol, U: UpperLayer> Sim<M, U> {
                             kind: MacTimerKind::Subslot,
                             gen,
                         } => {
-                            scratch.slates[plan.shard_of(node.index())]
+                            scratch.lanes[plan.shard_of(node.index())]
+                                .slate
                                 .push((pos as u32, node.0, *gen));
                         }
                         _ => {
@@ -2037,7 +2109,8 @@ impl<M: MacProtocol, U: UpperLayer> Sim<M, U> {
                     // barrier. The jobs run either on the persistent
                     // shard pool (default) or on per-boundary scoped
                     // threads; identical results by construction, since
-                    // a job only writes its own slices and outbox.
+                    // a job only writes its own slices and lane (see
+                    // `ShardLane` for why lanes own their cache lines).
                     let world = &mut *self.world;
                     let nodes = &mut world.nodes;
                     let queues: &[TxQueue] = &nodes.queue;
@@ -2051,12 +2124,7 @@ impl<M: MacProtocol, U: UpperLayer> Sim<M, U> {
                     let mut gen_rest: &mut [[u64; MacTimerKind::COUNT]] = &mut nodes.mac_timer_gen;
                     let (mut slot_rest, subslots) = world.metrics.slot_action_rows_mut();
                     let mut tasks = Vec::with_capacity(plan.shards());
-                    for (s, (outbox, frames)) in scratch
-                        .outboxes
-                        .iter_mut()
-                        .zip(scratch.frames.iter_mut())
-                        .enumerate()
-                    {
+                    for (s, lane) in scratch.lanes.iter_mut().enumerate() {
                         let range = plan.range(s);
                         let len = range.len();
                         let (macs_s, mac_tail) = mac_rest.split_at_mut(len);
@@ -2067,21 +2135,18 @@ impl<M: MacProtocol, U: UpperLayer> Sim<M, U> {
                         gen_rest = gen_tail;
                         let (slots_s, slot_tail) = slot_rest.split_at_mut(len * subslots);
                         slot_rest = slot_tail;
-                        let slate: &[(u32, u32, u64)] = &scratch.slates[s];
-                        if slate.is_empty() {
+                        if lane.slate.is_empty() {
                             continue;
                         }
                         let mut job = DecideJob {
                             now,
                             base: range.start,
-                            slate,
+                            lane,
                             macs: macs_s,
                             rngs: rngs_s,
                             gens: gens_s,
                             slot_actions: slots_s,
                             subslots,
-                            outbox,
-                            frames,
                             queues,
                             enabled,
                             levels,
@@ -2091,7 +2156,7 @@ impl<M: MacProtocol, U: UpperLayer> Sim<M, U> {
                         };
                         tasks.push(move || job.run());
                     }
-                    match pool {
+                    match pool.get() {
                         Some(pool) => pool.scope_run(&mut tasks),
                         None => {
                             std::thread::scope(|scope| {
@@ -2107,10 +2172,15 @@ impl<M: MacProtocol, U: UpperLayer> Sim<M, U> {
                 // outboxes back in ascending bucket position, which is
                 // exactly the sequential processing order (and is
                 // independent of the shard count), running each
-                // commit's global half.
+                // commit's global half. The lanes' sent frames move to
+                // the fold's queues first (a header swap), so the fold
+                // can pop them while the merge drains the outboxes.
                 stats.parallel_buckets += 1;
-                let frames = &mut scratch.frames;
-                qma_des::merge_by_pos(&mut scratch.outboxes, |_pos, commit| {
+                let frames = &mut scratch.fold_frames;
+                for (lane, fold) in scratch.lanes.iter_mut().zip(frames.iter_mut()) {
+                    std::mem::swap(&mut lane.frames, fold);
+                }
+                qma_des::merge_by_pos(&mut scratch.lanes, |_pos, commit| {
                     let frame = (commit.effect == TickEffect::Send).then(|| {
                         frames[plan.shard_of(commit.node.index())]
                             .pop_front()
@@ -2119,6 +2189,7 @@ impl<M: MacProtocol, U: UpperLayer> Sim<M, U> {
                     self.world.commit_tick_global(commit, frame, sched);
                     stats.folded_ticks += 1;
                 });
+                debug_assert!(frames.iter().all(|f| f.is_empty()));
                 batch.clear();
                 if !self.world.notices.is_empty() {
                     self.drain_notices(sched);
@@ -2376,7 +2447,7 @@ impl<M: MacProtocol, U: UpperLayer> Sim<M, U> {
                         sched,
                         &self.plan,
                         scratch,
-                        self.shard_pool.as_mut(),
+                        &mut self.shard_pool,
                         stats,
                     );
                 } else {
@@ -2795,6 +2866,119 @@ mod tests {
             armed.metrics().get("received")
         );
         assert_eq!(plain.events_processed(), armed.events_processed());
+    }
+
+    #[test]
+    fn shard_lanes_own_their_cache_lines() {
+        // The lane rule: two shards' decide jobs never write one cache
+        // line. Each job pushes into its outbox and frame queue once per
+        // decided tick, so those headers must sit in lines (and
+        // adjacent-line prefetch pairs) of their own. A flat
+        // `Vec<Vec<_>>` of outboxes puts them 24 bytes apart.
+        assert!(std::mem::align_of::<ShardLane>() >= 128);
+        let scratch = ShardScratch::new(2);
+        let outbox = |s: usize| std::ptr::from_ref(&scratch.lanes[s].outbox) as usize;
+        assert!(
+            outbox(1).abs_diff(outbox(0)) >= 128,
+            "outbox headers share a line pair"
+        );
+        // Every header byte a job writes lies in its lane's own
+        // 128-byte block.
+        let blocks = |s: usize| {
+            let lane = &scratch.lanes[s];
+            let (o, f) = (
+                std::ptr::from_ref(&lane.outbox),
+                std::ptr::from_ref(&lane.frames),
+            );
+            [
+                o as usize,
+                o as usize + std::mem::size_of_val(&lane.outbox) - 1,
+                f as usize,
+                f as usize + std::mem::size_of_val(&lane.frames) - 1,
+            ]
+            .map(|byte| byte / 128)
+        };
+        let (lane0, lane1) = (blocks(0), blocks(1));
+        assert!(
+            lane0.iter().all(|&b| b == lane0[0]),
+            "lane 0 straddles blocks"
+        );
+        assert!(
+            lane1.iter().all(|&b| b == lane1[0]),
+            "lane 1 straddles blocks"
+        );
+        assert_ne!(lane0[0], lane1[0], "lanes 0 and 1 share a block");
+    }
+
+    /// A split-tick MAC that ticks every subslot and does nothing
+    /// else — the smallest population that arms the sharded sweep.
+    struct SubslotMac;
+    impl MacProtocol for SubslotMac {
+        fn start(&mut self, ctx: &mut MacCtx<'_>) {
+            let (at, frame_index, subslot) = ctx.clock().next_subslot_start(ctx.now());
+            ctx.set_subslot_timer_at(at, frame_index, subslot);
+        }
+        fn on_timer(&mut self, ctx: &mut MacCtx<'_>, _: MacTimerKind) {
+            let plan = self
+                .subslot_decide(&mut ctx.tick_view())
+                .expect("split-tick MAC");
+            ctx.apply_tick_plan(plan);
+        }
+        fn on_frame(&mut self, _: &mut MacCtx<'_>, _: &Frame) {}
+        fn on_tx_end(&mut self, _: &mut MacCtx<'_>) {}
+        fn on_cca_result(&mut self, _: &mut MacCtx<'_>, _: bool) {}
+        fn on_enqueue(&mut self, _: &mut MacCtx<'_>) {}
+        fn supports_split_tick(&self) -> bool {
+            true
+        }
+        fn subslot_decide(&mut self, view: &mut TickView<'_>) -> Option<TickPlan> {
+            Some(TickPlan {
+                rearm: Some(view.clock().next_subslot_start(view.now())),
+                action: None,
+            })
+        }
+    }
+
+    #[test]
+    fn shard_pool_spawns_on_the_first_parallel_bucket() {
+        // Nine ticking nodes on three shards: every boundary bucket
+        // holds nine ticks.
+        let sim = |batch_min: usize| {
+            let mut sim = SimBuilder::new(Connectivity::full(9), 7)
+                .clock(FrameClock::all_cap(10, 1_000))
+                .mac_factory(|_, _| Box::new(SubslotMac))
+                .scheduler_wheel(true)
+                .shards(3)
+                .shard_pool(true)
+                .shard_batch_min(batch_min)
+                .build();
+            assert!(sim.sharded_sweep_armed());
+            assert!(
+                sim.shard_pool.pool.is_none(),
+                "build must not spawn workers"
+            );
+            sim.run_until(SimTime::from_millis(30));
+            sim
+        };
+        let below = sim(10);
+        assert_eq!(below.sweep_stats().parallel_buckets, 0);
+        assert!(below.sweep_stats().sequential_buckets > 0);
+        assert!(
+            below.shard_pool.pool.is_none(),
+            "no parallel bucket, no pool"
+        );
+
+        let parallel = sim(9);
+        assert!(parallel.sweep_stats().parallel_buckets > 0);
+        assert_eq!(
+            parallel
+                .shard_pool
+                .pool
+                .as_ref()
+                .map(qma_des::ShardPool::threads),
+            Some(2),
+            "K − 1 workers"
+        );
     }
 
     #[test]
