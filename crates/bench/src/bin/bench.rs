@@ -3,6 +3,8 @@
 //! Measures the paper-relevant hot paths and writes a flat JSON
 //! report (default `BENCH_pr7.json`, override with `QMA_BENCH_OUT`):
 //!
+//! * `git_rev` — the measured revision (`git rev-parse HEAD`, or
+//!   `unknown` outside a git checkout),
 //! * `q_update_f32_ns` / `q_update_fixed16_ns` — one Q-table update,
 //!   the operation the paper bounds at "two multiplications, three
 //!   additions and |A|+1 array lookups",
@@ -46,6 +48,7 @@
 //! cargo run --release -p qma-bench --features alloc-count --bin bench
 //! ```
 
+use std::process::{Command, Stdio};
 use std::time::Duration;
 
 use qma_bench::campaign::fabric::{run_fabric, FabricConfig};
@@ -295,6 +298,22 @@ mac = ["qma", "unslotted_csma"]
     (fabric_wall.as_secs_f64() / plain_wall.as_secs_f64().max(f64::MIN_POSITIVE) - 1.0) * 100.0
 }
 
+/// The checked-out revision (`git rev-parse HEAD`), or `"unknown"`
+/// outside a git checkout, so a report names the code it measured.
+fn git_rev() -> String {
+    Command::new("git")
+        .args(["rev-parse", "HEAD"])
+        .stdin(Stdio::null())
+        .stderr(Stdio::null())
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+        .map(|rev| rev.trim().to_string())
+        .filter(|rev| !rev.is_empty())
+        .unwrap_or_else(|| "unknown".into())
+}
+
 fn main() {
     let env = qma_bench::BenchEnv::from_env();
     let out_path = env.out_or("BENCH_pr7.json");
@@ -421,7 +440,7 @@ fn main() {
     let mut report = JsonReport::new();
     report
         .string("bench", "qma hot paths")
-        .string("pr", "7")
+        .string("git_rev", &git_rev())
         .integer("threads", rayon::current_num_threads() as u64)
         .integer("replications", reps)
         .number("q_update_f32_ns", q32)

@@ -62,10 +62,12 @@ impl EventKey {
 }
 
 /// One pending entry of a [`BoundaryWheel`] bucket: `(seq, time,
-/// event)`. The event is an `Option` only so consumption can move it
-/// out while the bucket keeps its allocation (buckets are recycled
-/// every wheel revolution; reallocating per revolution would put an
-/// allocation back on the hot path).
+/// event)`. The event is an `Option` only so single pops can move it
+/// out while the rest of the bucket stays in place. A bucket that
+/// empties hands its allocation to the wheel's spare list, and the
+/// next bucket to receive an entry takes it back, so the steady state
+/// reuses two allocations instead of allocating per boundary, and no
+/// idle ring slot retains storage.
 type WheelEntry<E> = (u64, SimTime, Option<E>);
 
 #[derive(Debug)]
@@ -101,6 +103,10 @@ struct BoundaryWheel<E> {
     head_pos: usize,
     /// Live entries across all buckets (exact).
     len: usize,
+    /// Emptied bucket allocations awaiting reuse, all cleared. Spares
+    /// plus pending buckets never outnumber the peak count of
+    /// simultaneously pending buckets.
+    spare: Vec<Vec<WheelEntry<E>>>,
 }
 
 impl<E> BoundaryWheel<E> {
@@ -117,6 +123,7 @@ impl<E> BoundaryWheel<E> {
             cursor: 0,
             head_pos: 0,
             len: 0,
+            spare: Vec::new(),
         }
     }
 
@@ -147,6 +154,9 @@ impl<E> BoundaryWheel<E> {
         let bucket = &mut self.buckets[(index & self.mask) as usize];
         if bucket.entries.is_empty() {
             bucket.index = index;
+            if let Some(spare) = self.spare.pop() {
+                bucket.entries = spare;
+            }
         } else if bucket.index != index {
             return Err(event); // ring slot aliased by another index
         } else if bucket.entries[0].1 != time {
@@ -192,7 +202,8 @@ impl<E> BoundaryWheel<E> {
             let (seq, t, _) = &bucket.entries[self.head_pos];
             Some((*t, *seq))
         } else {
-            bucket.entries.clear(); // keep the allocation
+            bucket.entries.clear();
+            self.spare.push(std::mem::take(&mut bucket.entries));
             self.head_pos = 0;
             if self.len > 0 {
                 self.advance_cursor();
@@ -231,7 +242,8 @@ impl<E> BoundaryWheel<E> {
                 .drain(self.head_pos..)
                 .map(|(_, time, event)| (time, event.expect("entry taken twice"))),
         );
-        bucket.entries.clear(); // drop already-consumed prefix, keep allocation
+        bucket.entries.clear(); // drop the already-consumed prefix
+        self.spare.push(std::mem::take(&mut bucket.entries));
         self.head_pos = 0;
         self.len -= n;
         let next = if self.len > 0 {
@@ -1212,6 +1224,47 @@ mod tests {
         assert_eq!(s.pop().unwrap().event, 30);
         assert_eq!(s.pop().unwrap().event, 40);
         assert!(s.pop().is_none());
+    }
+
+    #[test]
+    fn wheel_storage_follows_the_live_buckets() {
+        // A fixed population re-armed one boundary ahead, the shape of
+        // armed subslot ticks, driven for 5 ring revolutions through
+        // single pops and through whole-bucket drains. Only the
+        // draining and the filling bucket are ever live, so at most
+        // two allocations may exist, wherever the cursor stands.
+        const RING: u64 = 16;
+        for drain in [false, true] {
+            let mut s: Scheduler<u32> = Scheduler::new();
+            s.enable_wheel(RING as usize);
+            for v in 0..40 {
+                s.schedule_boundary(boundary_time(1), 1, v);
+            }
+            let mut out = Vec::new();
+            for i in 1..=5 * RING {
+                if drain {
+                    assert_eq!(s.drain_boundary_bucket(SimTime::MAX, &mut out), 40);
+                    for (_, v) in out.drain(..) {
+                        s.schedule_boundary(boundary_time(i + 1), i + 1, v);
+                    }
+                } else {
+                    for _ in 0..40 {
+                        let e = s.pop().expect("population is fixed");
+                        assert_eq!(e.time, boundary_time(i));
+                        // Re-arm before the bucket drains, as the MAC
+                        // does, so two buckets are live at once.
+                        s.schedule_boundary(boundary_time(i + 1), i + 1, e.event);
+                    }
+                }
+                assert_eq!(s.len(), 40);
+                // Allocations held: ring slots with storage plus spares.
+                let w = s.wheel.as_deref().expect("wheel enabled");
+                let slots = w.buckets.iter().filter(|b| b.entries.capacity() > 0);
+                let held = slots.count() + w.spare.len();
+                assert!(held <= 2, "boundary {i}: wheel holds {held} allocations");
+            }
+            assert_eq!(s.wheel_scheduled_total(), 40 * (5 * RING + 1));
+        }
     }
 
     #[test]

@@ -19,10 +19,12 @@ use crate::csma::{CsmaConfig, CsmaMac};
 use crate::qma_mac::{QmaMac, QmaMacConfig};
 
 /// A MAC instance with enum-based static dispatch.
-// The size spread (QmaMac embeds its ~0.5 KiB Q-table) is deliberate:
-// the table is hot-path data and boxing it back out would reintroduce
-// a pointer chase per Q-update; there is one MacImpl per node, so the
-// padding on Csma/Custom nodes is noise.
+// The size spread (QmaMac ~0.5 KiB inline, CsmaMac ~0.2 KiB) is
+// deliberate. QmaMac's inline bytes are its config, clock, agent and
+// receiver state; the Q-table's values and policy already sit in two
+// heap `Vec`s inside `QTable`. Boxing the variant would add a pointer
+// chase per MAC callback to reach that inline state. There is one
+// MacImpl per node, so the padding on Csma/Custom nodes is noise.
 #[allow(clippy::large_enum_variant)]
 pub enum MacImpl {
     /// The paper's Q-learning MAC.

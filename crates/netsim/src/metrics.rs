@@ -49,12 +49,14 @@ impl SlotAction {
 }
 
 /// Counts an executed subslot action in one node's slot-action row
-/// (subslots beyond the row are ignored) — the single implementation
-/// behind [`MetricsHub::slot_action`] and the sharded sweep's
-/// node-local commit.
-pub(crate) fn count_slot_action(row: &mut [[u64; 3]], subslot: u16, action: SlotAction) {
+/// (subslots beyond the row are ignored; a cell saturates at
+/// `u32::MAX`, about 4·10⁹ frames at one count per frame) — the single
+/// implementation behind [`MetricsHub::slot_action`] and the sharded
+/// sweep's node-local commit.
+pub(crate) fn count_slot_action(row: &mut [[u32; 3]], subslot: u16, action: SlotAction) {
     if let Some(cell) = row.get_mut(subslot as usize) {
-        cell[action.index()] += 1;
+        let count = &mut cell[action.index()];
+        *count = count.saturating_add(1);
     }
 }
 
@@ -97,7 +99,7 @@ pub struct MetricsHub {
     subslots: usize,
     /// Per-subslot action counts, one row of `subslots` cells per node,
     /// all rows in one allocation.
-    slot_actions: Vec<[u64; 3]>,
+    slot_actions: Vec<[u32; 3]>,
     named: BTreeMap<&'static str, f64>,
     named_per_node: BTreeMap<(&'static str, u32), f64>,
     horizon: SimTime,
@@ -269,7 +271,7 @@ impl MetricsHub {
     /// the row width — split into disjoint per-shard ranges by the
     /// sharded sweep, which counts each shard's actions inside its
     /// parallel decide.
-    pub(crate) fn slot_action_rows_mut(&mut self) -> (&mut [[u64; 3]], usize) {
+    pub(crate) fn slot_action_rows_mut(&mut self) -> (&mut [[u32; 3]], usize) {
         (&mut self.slot_actions, self.subslots)
     }
 
@@ -286,7 +288,7 @@ impl MetricsHub {
         self.slot_actions[self.slot_row(node)]
             .iter()
             .map(|cell| {
-                let total: u64 = cell.iter().sum();
+                let total: u64 = cell.iter().map(|&c| u64::from(c)).sum();
                 if total == 0 {
                     return None;
                 }
@@ -300,8 +302,9 @@ impl MetricsHub {
             .collect()
     }
 
-    /// Raw slot-action counts for a node.
-    pub fn slot_action_counts(&self, node: NodeId) -> &[[u64; 3]] {
+    /// Raw slot-action counts for a node (each saturates at
+    /// `u32::MAX`).
+    pub fn slot_action_counts(&self, node: NodeId) -> &[[u32; 3]] {
         &self.slot_actions[self.slot_row(node)]
     }
 
@@ -423,6 +426,18 @@ mod tests {
         assert_eq!(dom[2], Some(SlotAction::Backoff));
         h.reset_slot_actions();
         assert!(h.dominant_slot_actions(n).iter().all(|d| d.is_none()));
+    }
+
+    #[test]
+    fn slot_action_cells_saturate() {
+        let mut h = MetricsHub::new(1, 2);
+        let n = NodeId(0);
+        h.slot_actions[1] = [0, u32::MAX - 1, 0];
+        h.slot_action(n, 1, SlotAction::Cca);
+        h.slot_action(n, 1, SlotAction::Cca);
+        h.slot_action(n, 1, SlotAction::Backoff);
+        assert_eq!(h.slot_action_counts(n)[1], [1, u32::MAX, 0]);
+        assert_eq!(h.dominant_slot_actions(n)[1], Some(SlotAction::Cca));
     }
 
     #[test]

@@ -46,7 +46,9 @@ pub struct TxQueue {
 }
 
 impl TxQueue {
-    /// Creates a queue with the given capacity.
+    /// Creates a queue holding at most `capacity` frames. It allocates
+    /// nothing until the first push and then grows on demand, so nodes
+    /// that never enqueue cost no queue storage.
     ///
     /// # Panics
     ///
@@ -54,7 +56,7 @@ impl TxQueue {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "queue capacity must be positive");
         TxQueue {
-            items: VecDeque::with_capacity(capacity),
+            items: VecDeque::new(),
             capacity,
             drops: 0,
             enqueued_total: 0,
@@ -161,6 +163,22 @@ mod tests {
         }
         assert_eq!(q.len(), 8);
         assert_eq!(q.drops(), 3);
+        assert_eq!(q.enqueued_total(), 8);
+    }
+
+    #[test]
+    fn storage_is_allocated_on_first_push() {
+        let mut q = TxQueue::new(8);
+        assert_eq!(q.items.capacity(), 0, "an idle queue holds no storage");
+        assert_eq!(q.capacity(), 8);
+        assert!(q.push(frame(0), SimTime::ZERO));
+        assert!(q.items.capacity() > 0);
+        for s in 1..10 {
+            q.push(frame(s), SimTime::ZERO);
+        }
+        // Growing on demand keeps the bound and the drop count.
+        assert_eq!(q.len(), 8);
+        assert_eq!(q.drops(), 2);
         assert_eq!(q.enqueued_total(), 8);
     }
 

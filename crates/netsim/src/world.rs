@@ -587,7 +587,7 @@ fn commit_tick_local(
     node: NodeId,
     plan: TickPlan,
     gens: &mut [u64; MacTimerKind::COUNT],
-    slot_actions: &mut [[u64; 3]],
+    slot_actions: &mut [[u32; 3]],
 ) -> (TickCommit, Option<Frame>) {
     let rearm = plan
         .rearm
@@ -1845,7 +1845,7 @@ impl<M: MacProtocol, U: UpperLayer> Sim<M, U> {
             rngs: &'a mut [StdRng],
             gens: &'a mut [[u64; MacTimerKind::COUNT]],
             /// The shard's slot-action rows, `subslots` cells per node.
-            slot_actions: &'a mut [[u64; 3]],
+            slot_actions: &'a mut [[u32; 3]],
             subslots: usize,
             queues: &'a [TxQueue],
             enabled: &'a ActiveSet,

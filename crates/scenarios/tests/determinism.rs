@@ -320,7 +320,7 @@ fn sharded_sim_is_bit_identical(p: &qma_scenarios::ScenarioParams, seed: u64) {
         assert_eq!(sim.sharded_sweep_armed(), k > 1);
         sim.run_until(qma_des::SimTime::from_secs(p.duration_s));
         let m = sim.metrics();
-        let slot_actions: Vec<Vec<[u64; 3]>> = (0..m.nodes())
+        let slot_actions: Vec<Vec<[u32; 3]>> = (0..m.nodes())
             .map(|i| m.slot_action_counts(NodeId(i as u32)).to_vec())
             .collect();
         let observed = (digest(&sim), slot_actions, sim.world().armed_ticks());
@@ -328,7 +328,13 @@ fn sharded_sim_is_bit_identical(p: &qma_scenarios::ScenarioParams, seed: u64) {
     };
     let (sequential, stats_1) = run(1);
     assert_eq!(stats_1, SweepStats::default(), "K=1 never drains buckets");
-    let actions: u64 = sequential.1.iter().flatten().flatten().sum();
+    let actions: u64 = sequential
+        .1
+        .iter()
+        .flatten()
+        .flatten()
+        .map(|&c| u64::from(c))
+        .sum();
     assert!(
         actions > 1_000,
         "too few slot actions ({actions}) to compare"
